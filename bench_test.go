@@ -13,10 +13,12 @@
 package mkse
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mkse/internal/baseline/caomrse"
 	"mkse/internal/bitindex"
@@ -153,8 +155,9 @@ func BenchmarkSearchTelemetry(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	server.ObserveScans(telemetry.New().Histogram(
-		"mkse_scan_duration_seconds", "scan timings", telemetry.RequestBuckets()))
+	scanHist := telemetry.New().Histogram(
+		"mkse_scan_duration_seconds", "scan timings", telemetry.RequestBuckets())
+	server.ObserveScanContexts(func(_ context.Context, _ time.Time, d time.Duration) { scanHist.Observe(d) })
 	q := queryFor(b, owner, docs[0].Keywords()[:2])
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,15 +28,17 @@
 // mkse_wal_position, …), so scripts parse the same vocabulary a /metrics
 // scrape exposes.
 //
-// -cluster replaces -cloud with a partitioned topology: a comma-separated
-// partition list, each element "primary[/replica...]", in partition order
-// (element i must be the daemon started with -partition i/P). Searches
-// scatter to every partition and gather into the exact order a single
-// server would return; get and delete route to the partition owning the
-// document ID; stats fetches every partition and prints the per-partition
-// and aggregated counters. When a partition is unreachable the client falls
-// back to its listed replicas, and failing that reports which partitions
-// the (partial) result is missing.
+// -cloud is a one-partition topology, "primary[/replica...]": a single node
+// is routed exactly like one partition of a cluster. -cluster replaces it
+// with a partitioned topology: a comma-separated partition list of such
+// elements, in partition order (element i must be the daemon started with
+// -partition i/P). Searches scatter to every partition and gather into the
+// exact order a single server would return; get and delete route to the
+// partition owning the document ID; stats fetches every partition and
+// prints the per-partition and aggregated counters. Reads rotate across a
+// partition's caught-up replicas; when its primary is unreachable the
+// client follows a promoted replica, falls back to the caught-up ones, and
+// failing that reports which partitions the (partial) result is missing.
 package main
 
 import (
@@ -56,7 +58,7 @@ import (
 func main() {
 	var (
 		ownerAddr = flag.String("owner", "localhost:7001", "owner daemon address")
-		cloudAddr = flag.String("cloud", "localhost:7002", "cloud daemon address")
+		cloudAddr = flag.String("cloud", "localhost:7002", "cloud daemon address, optionally with read replicas: primary[/replica...]")
 		clusterTg = flag.String("cluster", "", "partitioned topology host1[/replica],host2,... in partition order (replaces -cloud)")
 		user      = flag.String("user", "cli-user", "user identity to enroll as")
 		topK      = flag.Int("top", 10, "maximum matches to request (τ)")
@@ -70,15 +72,23 @@ func main() {
 		return
 	}
 	service.DialTimeout = *dialTO
+	targets := *clusterTg
+	if targets == "" {
+		targets = *cloudAddr // a single node is a one-partition cluster
+	}
+	cfg, err := cluster.ParseTargets(targets)
+	if err != nil {
+		log.Fatalf("mkse-client: %v", err)
+	}
 	args := flag.Args()
 	if len(args) >= 1 && args[0] == "stats" {
 		// Operator introspection: a raw dial to the cloud daemon(s), no
 		// owner connection or user enrollment needed.
 		if *clusterTg != "" {
-			printClusterStats(*clusterTg, *asJSON)
+			printClusterStats(cfg, *asJSON)
 			return
 		}
-		printStats(*cloudAddr, *asJSON)
+		printStats(cfg.Partitions[0].Primary, *asJSON)
 		return
 	}
 	if len(args) < 2 {
@@ -86,17 +96,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var client *service.Client
-	var err error
-	if *clusterTg != "" {
-		cfg, perr := cluster.ParseTargets(*clusterTg)
-		if perr != nil {
-			log.Fatalf("mkse-client: %v", perr)
-		}
-		client, err = service.DialCluster(*user, *ownerAddr, cfg)
-	} else {
-		client, err = service.Dial(*user, *ownerAddr, *cloudAddr)
-	}
+	client, err := service.DialCluster(*user, *ownerAddr, cfg)
 	if err != nil {
 		log.Fatalf("mkse-client: %v", err)
 	}
@@ -105,11 +105,10 @@ func main() {
 	switch args[0] {
 	case "search":
 		matches, err := client.Search(args[1:], *topK)
-		var partial *cluster.PartialError
-		if errors.As(err, &partial) {
+		if partialOnly(err) {
 			// The merged results cover the surviving partitions; say which
 			// ones they are missing rather than discarding them.
-			fmt.Fprintf(os.Stderr, "mkse-client: warning: %v\n", partial)
+			fmt.Fprintf(os.Stderr, "mkse-client: warning: %v\n", err)
 		} else if err != nil {
 			log.Fatalf("mkse-client: search: %v", err)
 		}
@@ -127,9 +126,8 @@ func main() {
 		// spans come back from the call itself.
 		client.Tracer = trace.New("client", 0, nil)
 		matches, spans, err := client.TraceSearch(args[1:], *topK)
-		var partial *cluster.PartialError
-		if errors.As(err, &partial) {
-			fmt.Fprintf(os.Stderr, "mkse-client: warning: %v\n", partial)
+		if partialOnly(err) {
+			fmt.Fprintf(os.Stderr, "mkse-client: warning: %v\n", err)
 		} else if err != nil {
 			log.Fatalf("mkse-client: trace: %v", err)
 		}
@@ -173,6 +171,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mkse-client: unknown subcommand %q\n", args[0])
 		os.Exit(2)
 	}
+}
+
+// partialOnly reports whether err is a partial result that some partition
+// still answered — a warning to print beside the results. A partial result
+// with every partition down (always the case on a one-node target) is a
+// failure.
+func partialOnly(err error) bool {
+	var partial *cluster.PartialError
+	return errors.As(err, &partial) && len(partial.Failures) < partial.Partitions
 }
 
 // printStats renders one cloud daemon's stats response for operators:
@@ -225,11 +232,7 @@ func printStats(cloudAddr string, asJSON bool) {
 // printClusterStats renders every partition's stats plus the cluster-wide
 // aggregate. With -json it emits an array of per-partition objects followed
 // by no aggregate — scripts sum the same series names themselves.
-func printClusterStats(targets string, asJSON bool) {
-	cfg, err := cluster.ParseTargets(targets)
-	if err != nil {
-		log.Fatalf("mkse-client: %v", err)
-	}
+func printClusterStats(cfg cluster.Config, asJSON bool) {
 	parts, err := service.FetchClusterStats(cfg)
 	if err != nil {
 		log.Fatalf("mkse-client: stats: %v", err)

@@ -71,12 +71,14 @@
 // promoted to primary in place (see below). Followers reject writes,
 // answer searches and fetches, and report their lag (own position vs the
 // primary's, as heard on the stream) through a status verb. service.Client
-// fans Search/SearchBatch across a registered replica set with rotating
-// selection, probing status and skipping followers that lag beyond
-// MaxReplicaLag, and falls back to the primary on any transport failure;
-// mutations and retrievals always go to the primary. See EXPERIMENTS.md
-// ("WAL-shipping replication") for catch-up throughput and fan-out
-// numbers, and examples/replication for a runnable deployment.
+// routes every request through one per-partition router — a single node
+// is a one-partition cluster. Reads (Search, SearchBatch, Retrieve) rotate
+// across a registered replica set, probing status and skipping followers
+// that lag beyond MaxReplicaLag or lost their stream, and fall back to the
+// primary on any transport failure; mutations and Stats always go to the
+// primary. A lost primary is followed to its promoted successor. See
+// EXPERIMENTS.md ("WAL-shipping replication") for catch-up throughput and
+// fan-out numbers, and examples/replication for a runnable deployment.
 //
 // # Partitioned scatter-gather cluster
 //
@@ -95,8 +97,9 @@
 // result is byte-identical to one node scanning everything — proven by a
 // randomized property suite down to the binary-comparison cost accounting.
 // A partition that stalls or dies mid-search burns only its bounded
-// per-partition deadline, falls back to its read replicas, and — only if
-// all of them fail — is named in a typed *cluster.PartialError returned
+// per-partition deadline, follows a promoted successor or falls back to
+// its caught-up read replicas, and — only if none answers — is named in
+// a typed *cluster.PartialError returned
 // alongside the survivors' merged results. See ARCHITECTURE.md
 // ("Cluster") and examples/cluster for a runnable two-partition
 // deployment including the severed-partition failure path.

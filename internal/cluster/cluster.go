@@ -56,8 +56,9 @@ func (m Map) Owner(docID string) int {
 }
 
 // Partition is one partition's address set: the primary that owns the
-// partition's corpus slice, plus any read replicas a coordinator may fall
-// back to when the primary is unreachable.
+// partition's corpus slice, plus any read replicas a coordinator may send
+// reads to while they are caught up, and probes for a promoted successor
+// when the primary is lost.
 type Partition struct {
 	Primary  string
 	Replicas []string
@@ -143,7 +144,8 @@ func Less(a, b protocol.MatchWire) bool {
 // hold disjoint document sets, the merged prefix is byte-identical to what
 // a single node holding the whole corpus would return, metadata included.
 // An empty merge returns nil, matching the single-node scan's no-match
-// result.
+// result. A single list is already in merge order, so it is returned cut
+// in place, sharing its backing array.
 func MergeWire(parts [][]protocol.MatchWire, tau int) []protocol.MatchWire {
 	total := 0
 	for _, p := range parts {
@@ -154,6 +156,9 @@ func MergeWire(parts [][]protocol.MatchWire, tau int) []protocol.MatchWire {
 	}
 	if tau > 0 && tau < total {
 		total = tau
+	}
+	if len(parts) == 1 {
+		return parts[0][:total]
 	}
 	out := make([]protocol.MatchWire, 0, total)
 	idx := make([]int, len(parts))

@@ -14,7 +14,6 @@ import (
 
 	"mkse/internal/bitindex"
 	"mkse/internal/costs"
-	"mkse/internal/telemetry"
 )
 
 // ErrNotFound reports an operation on a document ID the server does not
@@ -103,19 +102,14 @@ type Server struct {
 	startWorkers sync.Once
 	jobs         []chan scanJob
 
-	// scanHist, when set (ObserveScans), receives the wall-clock duration of
-	// every SearchTop/SearchBatch scan. A histogram observation is two atomic
-	// adds into preallocated buckets, so enabling telemetry keeps the
-	// steady-state search path allocation-free (pinned by
-	// TestSearchScanPathAllocationFree).
-	scanHist atomic.Pointer[telemetry.Histogram]
-
-	// scanObs, when set (ObserveScanContexts), additionally receives each
-	// scan's request context and timing. It is how the tracing layer hangs
-	// a "scan" span under a sampled request without core importing the
-	// trace package: the installed closure checks the context for a sampled
-	// trace and no-ops otherwise, so with tracing compiled in but disabled
-	// the scan path stays allocation-free.
+	// scanObs, when set (ObserveScanContexts), receives every
+	// SearchTop/SearchBatch scan's request context and timing — the one hook
+	// on the scan path. The service layer installs a single observer that
+	// feeds both the metrics scan histogram (two atomic adds into
+	// preallocated buckets) and the tracer (a "scan" span under a sampled
+	// request, without core importing the trace package; it checks the
+	// context and no-ops otherwise). Either way the steady-state search path
+	// stays allocation-free (pinned by TestSearchScanPathAllocationFree).
 	scanObs atomic.Pointer[ScanObserverFunc]
 
 	// Costs tallies server-side binary comparisons (Table 2) and traffic.
@@ -199,18 +193,12 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // NumWorkers returns the resolved search worker-pool size.
 func (s *Server) NumWorkers() int { return s.workers }
 
-// ObserveScans points the server's scan-latency instrument at h: every
-// subsequent SearchTop or SearchBatch call records its scan duration there
-// (the raw arena-scan time, before any wire encoding or result caching —
-// the number that moves when the kernel or the corpus does). A nil h
-// disables observation. Safe to call concurrently with searches.
-func (s *Server) ObserveScans(h *telemetry.Histogram) { s.scanHist.Store(h) }
-
-// ObserveScanContexts points the server's context-aware scan observer at
-// fn: every subsequent SearchTopContext or SearchBatchContext scan invokes
-// it with the request's context and the scan's timing, alongside any
-// ObserveScans histogram. A nil fn disables observation. Safe to call
-// concurrently with searches.
+// ObserveScanContexts points the server's scan observer at fn: every
+// subsequent search or batch search invokes it with the request's context
+// and the scan's timing (the raw arena-scan time, before any wire encoding
+// or result caching — the number that moves when the kernel or the corpus
+// does). A nil fn disables observation. Safe to call concurrently with
+// searches.
 func (s *Server) ObserveScanContexts(fn ScanObserverFunc) {
 	if fn == nil {
 		s.scanObs.Store(nil)
@@ -679,10 +667,9 @@ func (s *Server) SearchTopContext(ctx context.Context, q *bitindex.Vector, tau i
 	if err := s.validateQuery(q); err != nil {
 		return nil, err
 	}
-	h := s.scanHist.Load()
 	obs := s.scanObs.Load()
 	var start time.Time
-	if h != nil || obs != nil {
+	if obs != nil {
 		start = time.Now()
 	}
 	// Wrap the query and result in pooled one-element slices so a SearchTop
@@ -699,14 +686,8 @@ func (s *Server) SearchTopContext(ctx context.Context, q *bitindex.Vector, tau i
 	sc.out[0] = nil
 	sc.qbuf[0] = nil
 	s.scratch.Put(sc)
-	if h != nil || obs != nil {
-		d := time.Since(start)
-		if h != nil {
-			h.Observe(d)
-		}
-		if obs != nil {
-			(*obs)(ctx, start, d)
-		}
+	if obs != nil {
+		(*obs)(ctx, start, time.Since(start))
 	}
 	return res, nil
 }
@@ -731,24 +712,17 @@ func (s *Server) SearchBatchContext(ctx context.Context, queries []*bitindex.Vec
 			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
 	}
-	h := s.scanHist.Load()
 	obs := s.scanObs.Load()
 	var start time.Time
-	if h != nil || obs != nil {
+	if obs != nil {
 		start = time.Now()
 	}
 	out := make([][]Match, len(queries))
 	sc := s.scratch.Get().(*scanScratch)
 	s.searchSharded(sc, queries, tau, out)
 	s.scratch.Put(sc)
-	if h != nil || obs != nil {
-		d := time.Since(start)
-		if h != nil {
-			h.Observe(d)
-		}
-		if obs != nil {
-			(*obs)(ctx, start, d)
-		}
+	if obs != nil {
+		(*obs)(ctx, start, time.Since(start))
 	}
 	return out, nil
 }

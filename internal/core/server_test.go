@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"mkse/internal/bitindex"
 	"mkse/internal/corpus"
@@ -376,7 +378,8 @@ func TestSearchScanPathAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanHist := telemetry.New().Histogram("test_scan_seconds", "scan timings", telemetry.RequestBuckets())
-	srv.ObserveScans(scanHist)
+	observe := func(_ context.Context, _ time.Time, d time.Duration) { scanHist.Observe(d) }
+	srv.ObserveScanContexts(observe)
 	docs := uploadCorpus(t, o, 200, 37, srv)
 
 	u := newUserFor(t, o, "alloc-prop")
@@ -429,7 +432,7 @@ func TestSearchScanPathAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	multi.ObserveScans(scanHist)
+	multi.ObserveScanContexts(observe)
 	if got := testing.AllocsPerRun(100, func() {
 		if _, err := multi.SearchTop(miss, 5); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 	"net"
@@ -11,14 +10,11 @@ import (
 	"time"
 
 	"mkse/internal/bitindex"
+	"mkse/internal/cluster"
 	"mkse/internal/core"
 	"mkse/internal/protocol"
 	"mkse/internal/trace"
 )
-
-// DefaultMaxReplicaLag is how many log records a read replica may trail the
-// primary before the client routes its reads back to the primary.
-const DefaultMaxReplicaLag = 1024
 
 // DialTimeout bounds every owner/cloud connection attempt this package
 // makes (Dial, the raw owner-side helpers, replication streams, and the
@@ -26,25 +22,17 @@ const DefaultMaxReplicaLag = 1024
 // for the kernel's connect timeout. Override before dialing.
 var DialTimeout = 5 * time.Second
 
-// replicaDialTimeout bounds connection attempts to read replicas. It is
-// deliberately short — the dial happens on the read path, and the primary
-// is always there to fall back to.
-const replicaDialTimeout = 500 * time.Millisecond
-
-// replicaMaxBench caps the exponential back-off a repeatedly failing
-// replica is benched for between redial attempts.
-const replicaMaxBench = 30 * time.Second
-
 // Client drives the user's side of the full protocol against a remote owner
-// daemon and a remote cloud daemon. It wraps a core.User created during
-// Enroll. A Client serializes its protocol exchanges and is safe for
+// daemon and one or more cloud partitions. It wraps a core.User created
+// during Enroll. A Client serializes its protocol exchanges and is safe for
 // concurrent use.
 //
-// A client may additionally be given a set of read replicas
-// (AddReadReplicas): Search and SearchBatch then rotate across the healthy,
-// caught-up followers and fall back to the primary when a replica is down,
-// lagging past MaxReplicaLag, or fails mid-request. Mutations (Delete) and
-// retrievals always go to the primary.
+// Every request goes through one per-partition router; a single node is a
+// one-partition cluster. Reads (Search, SearchBatch, Retrieve) rotate across
+// each partition's healthy, caught-up replicas and fall back to the primary
+// when a replica is down, lagging past MaxReplicaLag, or fails mid-request.
+// Mutations (Delete) and Stats go to the primary. A lost primary is
+// followed to its promoted successor among the replicas.
 type Client struct {
 	UserID string
 
@@ -63,73 +51,31 @@ type Client struct {
 	// before the first search.
 	ReplicaProbeEvery time.Duration
 
-	// PartitionTimeout bounds each partition's share of a scatter-gather
-	// read on a cluster client (0 = DefaultPartitionTimeout). Set before
-	// the first request.
+	// PartitionTimeout bounds every exchange with one partition's servers
+	// (0 = DefaultPartitionTimeout). Set before the first request.
 	PartitionTimeout time.Duration
 
 	// Tracer, when set, samples this client's searches into distributed
-	// traces: the coordinator records the root span, scatter/partition/rpc
-	// children, and grafts in the spans each partition server echoes on its
-	// response — the whole cross-daemon tree assembles client-side. Use
-	// TraceSearch to force-sample one search regardless of the sample rate.
+	// traces: the coordinator records the root span, scatter/partition/
+	// attempt children, and grafts in the spans each partition server
+	// echoes on its response — the whole cross-daemon tree assembles
+	// client-side. Use TraceSearch to force-sample one search regardless of
+	// the sample rate.
 	Tracer *trace.Tracer
 
 	mu        sync.Mutex
 	ownerConn *protocol.Conn
-	cloudConn *protocol.Conn
 	ownerRaw  net.Conn
-	cloudRaw  net.Conn
-	cloudAddr string
 	user      *core.User
-
-	replicas []*readReplica
-	rrNext   int
-	reads    map[string]uint64
-
-	// clu is non-nil on a DialCluster client: the partition topology and
-	// one connection set per partition. When set, reads scatter-gather
-	// across every partition and mutations route by document ID.
-	clu *clusterState
+	parts     []*partition // in partition order; documents route by cluster.Map
 }
 
-// readReplica is one follower the client may fan read traffic to.
-type readReplica struct {
-	addr      string
-	conn      *protocol.Conn
-	raw       net.Conn
-	downUntil time.Time // failed recently; no redial before this
-	checkedAt time.Time // last successful status probe
-	lagging   bool      // last probe showed lag beyond the budget
-	fails     int       // consecutive failures, drives the bench back-off
-}
-
-// Dial connects to the owner and cloud daemons and enrolls the user with the
-// data owner, receiving the scheme parameters, the owner's public key and
-// the random-keyword trapdoors.
+// Dial connects to the owner daemon and a single cloud daemon — a
+// one-partition cluster — and enrolls the user with the data owner,
+// receiving the scheme parameters, the owner's public key and the
+// random-keyword trapdoors.
 func Dial(userID, ownerAddr, cloudAddr string) (*Client, error) {
-	oc, err := net.DialTimeout("tcp", ownerAddr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("service: dialing owner: %w", err)
-	}
-	cc, err := net.DialTimeout("tcp", cloudAddr, DialTimeout)
-	if err != nil {
-		oc.Close()
-		return nil, fmt.Errorf("service: dialing cloud: %w", err)
-	}
-	c := &Client{
-		UserID:    userID,
-		ownerConn: protocol.NewConn(oc),
-		cloudConn: protocol.NewConn(cc),
-		ownerRaw:  oc,
-		cloudRaw:  cc,
-		cloudAddr: cloudAddr,
-	}
-	if err := c.enroll(); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
+	return DialCluster(userID, ownerAddr, cluster.Config{Partitions: []cluster.Partition{{Primary: cloudAddr}}})
 }
 
 // enroll bootstraps the user. The signature key pair must exist before the
@@ -177,233 +123,56 @@ func (c *Client) enroll() error {
 // User exposes the underlying core.User (for cost inspection in experiments).
 func (c *Client) User() *core.User { return c.user }
 
-// Close tears down the owner, cloud and replica connections.
+// Close tears down the owner connection and every partition's primary and
+// replica connections.
 func (c *Client) Close() error {
-	var first error
+	var err error
 	if c.ownerRaw != nil {
-		if err := c.ownerRaw.Close(); err != nil {
-			first = err
-		}
-	}
-	if c.cloudRaw != nil {
-		if err := c.cloudRaw.Close(); err != nil && first == nil {
-			first = err
-		}
+		err = c.ownerRaw.Close()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, r := range c.replicas {
-		if r.raw != nil {
-			r.raw.Close()
-			r.raw, r.conn = nil, nil
+	for _, p := range c.parts {
+		p.primary.close()
+		for _, r := range p.replicas {
+			r.close()
 		}
 	}
-	if c.clu != nil {
-		for _, p := range c.clu.parts {
-			if p.raw != nil {
-				p.raw.Close()
-				p.raw, p.conn = nil, nil
-			}
-			if p.rraw != nil {
-				p.rraw.Close()
-				p.rraw, p.rconn = nil, nil
-			}
-		}
-	}
-	return first
+	return err
 }
 
-// AddReadReplicas registers follower addresses to fan Search/SearchBatch
-// traffic across. Connections are dialed lazily and re-dialed after
-// failures; an unreachable or lagging replica routes reads back to the
-// primary, with failing replicas benched on an exponential back-off so a
-// dead address costs at most an occasional short dial timeout, not a stall
-// per search.
+// AddReadReplicas registers followers of a one-partition client's server
+// (the Dial case) to fan Search, SearchBatch and Retrieve traffic across.
+// Connections are dialed lazily and re-dialed after failures; an
+// unreachable or lagging replica routes reads back to the primary, with
+// failing replicas benched on an exponential back-off so a dead address
+// costs at most an occasional short dial timeout, not a stall per search.
+// A partitioned client takes each partition's replicas from its
+// cluster.Config; on one this call does nothing.
 func (c *Client) AddReadReplicas(addrs ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.parts) != 1 {
+		return
+	}
+	p := c.parts[0]
 	for _, a := range addrs {
-		c.replicas = append(c.replicas, &readReplica{addr: a})
+		p.replicas = append(p.replicas, &readReplica{link: link{addr: a}})
 	}
 }
 
 // ReadDistribution reports how many read requests this client has sent to
-// each server, keyed by replica address, plus "primary" for the primary.
+// each server, keyed by replica address, plus "primary" for the primaries.
 func (c *Client) ReadDistribution() map[string]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.reads))
-	for k, v := range c.reads {
-		out[k] = v
+	out := make(map[string]uint64)
+	for _, p := range c.parts {
+		for k, v := range p.reads {
+			out[k] += v
+		}
 	}
 	return out
-}
-
-// countReadLocked tallies one read against a server for ReadDistribution.
-func (c *Client) countReadLocked(key string) {
-	if c.reads == nil {
-		c.reads = make(map[string]uint64)
-	}
-	c.reads[key]++
-}
-
-// readRoundtrip sends a read request to the next healthy, caught-up
-// replica, falling back to the primary when none qualifies or the chosen
-// replica fails in transit. A *protocol.RemoteError is returned as-is
-// without failover: the server understood the request and rejected it, and
-// every server would. Caller holds c.mu.
-func (c *Client) readRoundtrip(m *protocol.Message) (*protocol.Message, error) {
-	if r := c.pickReplicaLocked(); r != nil {
-		resp, err := r.conn.Roundtrip(m)
-		var remote *protocol.RemoteError
-		if err == nil || errors.As(err, &remote) {
-			c.countReadLocked(r.addr)
-			return resp, err
-		}
-		c.dropReplicaLocked(r)
-	}
-	resp, err := c.primaryRoundtripLocked(m)
-	if err == nil {
-		c.countReadLocked("primary")
-	}
-	return resp, err
-}
-
-// primaryRoundtripLocked sends a request on the primary connection,
-// following the topology when the primary is gone: a transport failure, or
-// a read-only rejection from a daemon that was fenced out of the primary
-// role, triggers one probe of the replica set for the promoted survivor and
-// one retry against it. Ordinary remote rejections pass through untouched —
-// any server would reject those. Caller holds c.mu.
-func (c *Client) primaryRoundtripLocked(m *protocol.Message) (*protocol.Message, error) {
-	resp, err := c.cloudConn.Roundtrip(m)
-	if err == nil {
-		return resp, nil
-	}
-	var remote *protocol.RemoteError
-	if errors.As(err, &remote) && remote.Code != protocol.CodeReadOnly {
-		return nil, err
-	}
-	if ferr := c.followPrimaryLocked(); ferr != nil {
-		return nil, err // the original failure describes the outage best
-	}
-	return c.cloudConn.Roundtrip(m)
-}
-
-// followPrimaryLocked re-discovers the primary after losing it: it probes
-// every known replica address for a durable daemon that no longer calls
-// itself a replica — the promoted survivor — preferring the highest
-// promotion term, and repoints the primary connection there. Caller holds
-// c.mu.
-func (c *Client) followPrimaryLocked() error {
-	var bestAddr string
-	var bestTerm uint64
-	found := false
-	for _, r := range c.replicas {
-		if r.addr == c.cloudAddr {
-			continue
-		}
-		st, err := FetchReplicaStatus(r.addr)
-		if err != nil || !st.Durable || st.Replica {
-			continue
-		}
-		if !found || st.Term > bestTerm {
-			found, bestAddr, bestTerm = true, r.addr, st.Term
-		}
-	}
-	if !found {
-		return errors.New("service: no promoted primary found among the replica set")
-	}
-	raw, err := net.DialTimeout("tcp", bestAddr, DialTimeout)
-	if err != nil {
-		return err
-	}
-	if c.cloudRaw != nil {
-		c.cloudRaw.Close()
-	}
-	c.cloudRaw = raw
-	c.cloudConn = protocol.NewConn(raw)
-	c.cloudAddr = bestAddr
-	return nil
-}
-
-// pickReplicaLocked rotates over the replica set and returns the first one
-// fit to serve a read, or nil to use the primary. Caller holds c.mu.
-func (c *Client) pickReplicaLocked() *readReplica {
-	n := len(c.replicas)
-	for i := 0; i < n; i++ {
-		r := c.replicas[(c.rrNext+i)%n]
-		if c.probeLocked(r) {
-			c.rrNext = (c.rrNext + i + 1) % n
-			return r
-		}
-	}
-	return nil
-}
-
-// probeLocked reports whether a replica is connected and caught up,
-// dialing and status-checking it as needed. Caller holds c.mu.
-func (c *Client) probeLocked(r *readReplica) bool {
-	now := time.Now()
-	if now.Before(r.downUntil) {
-		return false
-	}
-	if r.conn == nil {
-		raw, err := net.DialTimeout("tcp", r.addr, replicaDialTimeout)
-		if err != nil {
-			c.dropReplicaLocked(r)
-			return false
-		}
-		r.raw = raw
-		r.conn = protocol.NewConn(raw)
-		r.checkedAt = time.Time{} // force a status probe on a fresh connection
-	}
-	if now.Sub(r.checkedAt) >= c.probeEvery() {
-		resp, err := r.conn.Roundtrip(&protocol.Message{ReplicaStatusReq: &protocol.ReplicaStatusRequest{}})
-		if err != nil || resp.ReplicaStatusResp == nil {
-			c.dropReplicaLocked(r)
-			return false
-		}
-		st := resp.ReplicaStatusResp
-		r.checkedAt = now
-		r.fails = 0
-		r.lagging = st.PrimaryPosition-st.Position > c.maxLag() || (st.Replica && !st.Connected)
-	}
-	return !r.lagging
-}
-
-// dropReplicaLocked closes a failed replica connection and benches the
-// replica before the next redial, doubling the bench on every consecutive
-// failure (up to replicaMaxBench) so a dead address is retried rarely.
-// Caller holds c.mu.
-func (c *Client) dropReplicaLocked(r *readReplica) {
-	if r.raw != nil {
-		r.raw.Close()
-	}
-	r.raw, r.conn = nil, nil
-	r.lagging = false
-	bench := c.probeEvery() << r.fails
-	if bench > replicaMaxBench || bench <= 0 {
-		bench = replicaMaxBench
-	}
-	if r.fails < 30 {
-		r.fails++
-	}
-	r.downUntil = time.Now().Add(bench)
-}
-
-func (c *Client) maxLag() uint64 {
-	if c.MaxReplicaLag > 0 {
-		return c.MaxReplicaLag
-	}
-	return DefaultMaxReplicaLag
-}
-
-func (c *Client) probeEvery() time.Duration {
-	if c.ReplicaProbeEvery > 0 {
-		return c.ReplicaProbeEvery
-	}
-	return time.Second
 }
 
 // EnsureTrapdoors fetches trapdoor material for any of the given keywords
@@ -530,70 +299,20 @@ func (c *Client) search(words []string, topK int, force bool) ([]Match, []trace.
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctx := context.Background()
-	var root *trace.ActiveSpan
-	if c.Tracer != nil {
-		ctx, root = c.Tracer.StartRequest(ctx, "client:search", force)
+	ctx, root := c.Tracer.StartRequest(context.Background(), "client:search", force)
+	if root != nil {
 		root.SetAttr("keywords", strconv.Itoa(len(words)))
 		root.SetAttr("topk", strconv.Itoa(topK))
 	}
 	out, err := c.searchLocked(ctx, words, topK)
-	var spans []trace.Span
-	if root != nil {
-		if err != nil {
-			root.SetAttr("error", err.Error())
-		}
-		root.End()
-		spans = root.Spans()
-	}
-	return out, spans, err
-}
-
-// searchLocked runs one search under an (optionally traced) context: the
-// cluster scatter-gather, or the single-server round trip with an "rpc"
-// span carrying the propagation context and importing the server's echoed
-// spans. Caller holds c.mu.
-func (c *Client) searchLocked(ctx context.Context, words []string, topK int) ([]Match, error) {
-	q, err := c.user.BuildQuery(words)
-	if err != nil {
-		return nil, err
-	}
-	if c.clu != nil {
-		return c.clusterSearchLocked(ctx, marshalVector(q), topK)
-	}
-	m := &protocol.Message{SearchReq: &protocol.SearchRequest{
-		Query: marshalVector(q),
-		TopK:  topK,
-	}}
-	rctx, sp := trace.Start(ctx, "rpc")
-	if sp != nil {
-		m.Trace = traceCtxToWire(sp.Context())
-	}
-	resp, err := c.readRoundtrip(m)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			trace.Import(rctx, spansFromWire(sp.TraceID(), resp.Spans))
-		}
-		sp.End()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: search: %w", err)
-	}
-	if resp.SearchResp == nil {
-		return nil, fmt.Errorf("service: search response missing")
-	}
-	out := make([]Match, len(resp.SearchResp.Matches))
-	for i, m := range resp.SearchResp.Matches {
-		out[i] = Match{DocID: m.DocID, Rank: m.Rank}
-	}
-	return out, nil
+	endRoot(root, err)
+	return out, root.Spans(), err
 }
 
 // SearchBatch builds one randomized query index per keyword set and submits
-// them all in a single round trip; the cloud evaluates the batch in one
-// sharded pass. Result i corresponds to queries[i], each truncated to topK.
+// them all in a single round trip per partition; each cloud evaluates the
+// batch in one sharded pass. Result i corresponds to queries[i], each
+// truncated to topK.
 func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -611,63 +330,25 @@ func (c *Client) SearchBatch(queries [][]string, topK int) ([][]Match, error) {
 		}
 		wire[i] = marshalVector(q)
 	}
-	ctx := context.Background()
-	var root *trace.ActiveSpan
-	if c.Tracer != nil {
-		ctx, root = c.Tracer.StartRequest(ctx, "client:searchbatch", false)
+	ctx, root := c.Tracer.StartRequest(context.Background(), "client:searchbatch", false)
+	if root != nil {
 		root.SetAttr("queries", strconv.Itoa(len(queries)))
 		root.SetAttr("topk", strconv.Itoa(topK))
 	}
-	if c.clu != nil {
-		out, err := c.clusterSearchBatchLocked(ctx, wire, topK)
-		if root != nil {
-			if err != nil {
-				root.SetAttr("error", err.Error())
-			}
-			root.End()
-		}
-		return out, err
-	}
-	m := &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
-		Queries: wire,
-		TopK:    topK,
-	}}
-	rctx, sp := trace.Start(ctx, "rpc")
-	if sp != nil {
-		m.Trace = traceCtxToWire(sp.Context())
-	}
-	resp, err := c.readRoundtrip(m)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			trace.Import(rctx, spansFromWire(sp.TraceID(), resp.Spans))
-		}
-		sp.End()
-	}
-	if root != nil {
-		if err != nil {
-			root.SetAttr("error", err.Error())
-		}
-		root.End()
+	out, err := c.searchBatchLocked(ctx, wire, topK)
+	endRoot(root, err)
+	return out, err
+}
+
+// endRoot closes a request's root span, noting its error. Nil-safe.
+func endRoot(root *trace.ActiveSpan, err error) {
+	if root == nil {
+		return
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: batch search: %w", err)
+		root.SetAttr("error", err.Error())
 	}
-	if resp.SearchBatchResp == nil {
-		return nil, fmt.Errorf("service: batch search response missing")
-	}
-	if got := len(resp.SearchBatchResp.Results); got != len(queries) {
-		return nil, fmt.Errorf("service: batch search returned %d result sets for %d queries", got, len(queries))
-	}
-	out := make([][]Match, len(queries))
-	for qi, ms := range resp.SearchBatchResp.Results {
-		out[qi] = make([]Match, len(ms))
-		for i, m := range ms {
-			out[qi][i] = Match{DocID: m.DocID, Rank: m.Rank}
-		}
-	}
-	return out, nil
+	root.End()
 }
 
 // KeywordUnion deduplicates the keywords of a query batch, so a word shared
@@ -687,20 +368,14 @@ func KeywordUnion(queries [][]string) []string {
 	return union
 }
 
-// Retrieve fetches an encrypted document from the cloud (step 3) and runs
-// the blinded decryption protocol with the owner (step 4), returning the
-// plaintext.
+// Retrieve fetches an encrypted document from the partition owning it (step
+// 3) and runs the blinded decryption protocol with the owner (step 4),
+// returning the plaintext.
 func (c *Client) Retrieve(docID string) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fetch := &protocol.Message{FetchReq: &protocol.FetchRequest{DocID: docID}}
-	var resp *protocol.Message
-	var err error
-	if c.clu != nil {
-		resp, _, err = c.readPart(context.Background(), c.clusterOwnerLocked(docID), fetch)
-	} else {
-		resp, err = c.primaryRoundtripLocked(fetch)
-	}
+	resp, err := c.read(context.Background(), c.ownerOf(docID),
+		&protocol.Message{FetchReq: &protocol.FetchRequest{DocID: docID}})
 	if err != nil {
 		return nil, fmt.Errorf("service: fetch: %w", err)
 	}
@@ -733,28 +408,17 @@ func (c *Client) Retrieve(docID string) ([]byte, error) {
 	})
 }
 
-// Stats fetches the cloud daemon's operational counters — document and
-// shard counts, mutation epoch, WAL position and replication lag, and the
-// query-result cache counters — in one round trip. It always asks the
-// primary, whose answer describes the server this client mutates.
+// Stats fetches the cloud's operational counters — document and shard
+// counts, mutation epoch, WAL position and replication lag, and the
+// query-result cache counters — from every partition primary, whose answers
+// describe the servers this client mutates, folded into one view (see
+// aggregateStats; a one-partition client gets its node's own view).
 func (c *Client) Stats() (*protocol.StatsResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.clu != nil {
-		parts, err := c.clusterStatsLocked()
-		if err != nil {
-			return nil, err
-		}
-		return aggregateStats(parts), nil
-	}
-	resp, err := c.primaryRoundtripLocked(&protocol.Message{StatsReq: &protocol.StatsRequest{}})
+	parts, err := c.ClusterStats()
 	if err != nil {
-		return nil, fmt.Errorf("service: stats: %w", err)
+		return nil, err
 	}
-	if resp.StatsResp == nil {
-		return nil, fmt.Errorf("service: stats response missing")
-	}
-	return resp.StatsResp, nil
+	return aggregateStats(parts), nil
 }
 
 // FetchStats asks any cloud daemon (primary or follower) for its
@@ -776,20 +440,15 @@ func FetchStats(cloudAddr string) (*protocol.StatsResponse, error) {
 	return resp.StatsResp, nil
 }
 
-// Delete asks the cloud daemon to remove a document. In the paper's model
-// removal is the data owner's act; the client method exists for deployments
-// where the owner drives the cloud through the same connection pair.
+// Delete asks the primary of the partition owning a document to remove it.
+// In the paper's model removal is the data owner's act; the client method
+// exists for deployments where the owner drives the cloud through the same
+// connection pair.
 func (c *Client) Delete(docID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	del := &protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: docID}}
-	var resp *protocol.Message
-	var err error
-	if c.clu != nil {
-		resp, err = c.clusterMutateLocked(docID, del)
-	} else {
-		resp, err = c.primaryRoundtripLocked(del)
-	}
+	resp, err := c.write(context.Background(), c.ownerOf(docID),
+		&protocol.Message{DeleteReq: &protocol.DeleteRequest{DocID: docID}})
 	if err != nil {
 		return fmt.Errorf("service: delete: %w", err)
 	}

@@ -2,60 +2,29 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"mkse/internal/cluster"
 	"mkse/internal/protocol"
 	"mkse/internal/trace"
 )
 
-// DefaultPartitionTimeout bounds each partition's share of a scatter-gather
-// read: a partition that has not answered within this budget is declared
-// failed for the request and the fan-out proceeds to its replicas (and then
-// without it). Override per client via Client.PartitionTimeout.
-const DefaultPartitionTimeout = 2 * time.Second
-
-// clusterState is the fat-client coordinator: the static topology plus one
-// connection set per partition. It lives inside a Client; all access is
-// serialized by the Client's mutex, except during a scatter-gather fan-out,
-// where each goroutine owns exactly one partition's connections while the
-// fan-out holds the mutex.
-type clusterState struct {
-	cfg   cluster.Config
-	parts []*clusterPart
-}
-
-// clusterPart is one partition's connection set: the primary connection the
-// coordinator routes by, plus a lazily dialed connection to whichever
-// replica last served a fallback read.
-type clusterPart struct {
-	index int
-	cfg   cluster.Partition
-
-	conn *protocol.Conn // primary; nil after a failure until redialed
-	raw  net.Conn
-
-	rconn *protocol.Conn // replica fallback; nil until first needed
-	rraw  net.Conn
-	raddr string
-}
-
 // DialCluster connects to the owner daemon and to every partition primary in
 // the topology, verifies each server's reported partition identity against
 // its position in the config, and enrolls the user. The returned Client
-// routes Upload/Delete/Retrieve to the partition owning the document ID and
-// fans Search/SearchBatch out to every partition, merging the per-partition
-// top-τ lists into the global order a single-node scan would produce.
+// routes Delete/Retrieve to the partition owning the document ID and fans
+// Search/SearchBatch out to every partition, merging the per-partition
+// top-τ lists into the global order a single-node scan would produce. Each
+// partition's configured replicas serve rotated reads within the lag
+// budget, exactly as AddReadReplicas followers do on a one-partition client.
 //
-// When a partition cannot be reached mid-request, reads fall back to that
-// partition's replicas; if none answers, Search/SearchBatch return the
-// merged results from the surviving partitions alongside a
-// *cluster.PartialError naming the dead ones.
+// When a partition cannot be reached mid-request, reads fall back to its
+// promoted successor or its caught-up replicas; if none answers,
+// Search/SearchBatch return the merged results from the surviving
+// partitions alongside a *cluster.PartialError naming the dead ones.
 func DialCluster(userID, ownerAddr string, cfg cluster.Config) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -68,17 +37,18 @@ func DialCluster(userID, ownerAddr string, cfg cluster.Config) (*Client, error) 
 		UserID:    userID,
 		ownerConn: protocol.NewConn(oc),
 		ownerRaw:  oc,
-		clu:       &clusterState{cfg: cfg},
 	}
-	for i, p := range cfg.Partitions {
-		raw, err := net.DialTimeout("tcp", p.Primary, DialTimeout)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("service: dialing partition %d (%s): %w", i, p.Primary, err)
+	for i, cp := range cfg.Partitions {
+		p := &partition{index: i, count: cfg.P(), primary: link{addr: cp.Primary}}
+		for _, a := range cp.Replicas {
+			p.replicas = append(p.replicas, &readReplica{link: link{addr: a}})
 		}
-		part := &clusterPart{index: i, cfg: p, conn: protocol.NewConn(raw), raw: raw}
-		c.clu.parts = append(c.clu.parts, part)
-		if err := verifyPartitionIdentity(part.conn, i, cfg.P()); err != nil {
+		c.parts = append(c.parts, p)
+		if err := p.primary.dial(DialTimeout); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("service: dialing partition %d (%s): %w", i, cp.Primary, err)
+		}
+		if err := verifyPartitionIdentity(p.primary.conn, i, cfg.P()); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -93,9 +63,11 @@ func DialCluster(userID, ownerAddr string, cfg cluster.Config) (*Client, error) 
 // verifyPartitionIdentity performs the partition-map exchange: the server at
 // config position i must report identity i/P, so a miswired address list
 // (wrong order, wrong count, a server from another cluster) is caught at
-// dial time rather than silently misrouting documents. A server with no
-// cluster identity at all is tolerated only in a single-partition topology,
-// where every routing decision is trivially correct.
+// dial time rather than silently misrouting documents — and a promoted
+// successor is checked the same way before the client routes to it. A
+// server with no cluster identity at all is tolerated only in a
+// single-partition topology, where every routing decision is trivially
+// correct.
 func verifyPartitionIdentity(conn *protocol.Conn, i, p int) error {
 	resp, err := conn.Roundtrip(&protocol.Message{ClusterInfoReq: &protocol.ClusterInfoRequest{}})
 	if err != nil {
@@ -118,153 +90,56 @@ func verifyPartitionIdentity(conn *protocol.Conn, i, p int) error {
 	return nil
 }
 
-// ClusterConfig returns the topology this client routes by, or the zero
-// Config when the client was built with Dial rather than DialCluster.
-func (c *Client) ClusterConfig() cluster.Config {
-	if c.clu == nil {
-		return cluster.Config{}
-	}
-	return c.clu.cfg
+// ownerOf returns the partition owning a document ID.
+func (c *Client) ownerOf(docID string) *partition {
+	return c.parts[cluster.Map{Partitions: len(c.parts)}.Owner(docID)]
 }
 
-func (c *Client) partitionTimeout() time.Duration {
-	if c.PartitionTimeout > 0 {
-		return c.PartitionTimeout
-	}
-	return DefaultPartitionTimeout
-}
-
-// roundtripDeadline runs one exchange under a wall-clock deadline. A
-// deadline that fires mid-frame leaves the stream unframed, so every caller
-// must drop the connection on a transport error.
-func roundtripDeadline(conn *protocol.Conn, raw net.Conn, m *protocol.Message, d time.Duration) (*protocol.Message, error) {
-	if d > 0 {
-		raw.SetDeadline(time.Now().Add(d))
-		defer raw.SetDeadline(time.Time{})
-	}
-	return conn.Roundtrip(m)
-}
-
-// readPart sends one read request to a single partition, bounded by the
-// partition timeout, falling back to the partition's replicas when the
-// primary is unreachable or times out. It returns the address that answered
-// (or was last tried) for failure reporting. A *protocol.RemoteError passes
-// through without fallback: the server understood the request and rejected
-// it, and every server holding the partition would.
-//
-// The caller must own the partition's connections exclusively — either by
-// holding the Client mutex, or by being the one fan-out goroutine assigned
-// to this partition while the mutex is held.
-func (c *Client) readPart(ctx context.Context, p *clusterPart, m *protocol.Message) (*protocol.Message, string, error) {
-	timeout := c.partitionTimeout()
-	var primaryErr error
-	if p.conn == nil {
-		_, dsp := trace.Start(ctx, "redial")
-		dsp.SetAttr("addr", p.cfg.Primary)
-		raw, err := net.DialTimeout("tcp", p.cfg.Primary, replicaDialTimeout)
-		if err != nil {
-			dsp.SetAttr("error", err.Error())
-			primaryErr = err
-		} else {
-			p.raw, p.conn = raw, protocol.NewConn(raw)
-		}
-		dsp.End()
-	}
-	if p.conn != nil {
-		_, sp := trace.Start(ctx, "attempt")
-		sp.SetAttr("addr", p.cfg.Primary)
-		sp.SetAttr("role", "primary")
-		resp, err := roundtripDeadline(p.conn, p.raw, m, timeout)
-		var remote *protocol.RemoteError
-		if err == nil || errors.As(err, &remote) {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-			return resp, p.cfg.Primary, err
-		}
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		primaryErr = err
-		p.raw.Close()
-		p.raw, p.conn = nil, nil
-	}
-	for _, addr := range p.cfg.Replicas {
-		_, sp := trace.Start(ctx, "attempt")
-		sp.SetAttr("addr", addr)
-		sp.SetAttr("role", "replica")
-		if p.rconn == nil || p.raddr != addr {
-			if p.rraw != nil {
-				p.rraw.Close()
-				p.rraw, p.rconn = nil, nil
-			}
-			raw, err := net.DialTimeout("tcp", addr, replicaDialTimeout)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				continue
-			}
-			p.rraw, p.rconn, p.raddr = raw, protocol.NewConn(raw), addr
-		}
-		resp, err := roundtripDeadline(p.rconn, p.rraw, m, timeout)
-		var remote *protocol.RemoteError
-		if err == nil || errors.As(err, &remote) {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-			return resp, addr, err
-		}
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		p.rraw.Close()
-		p.rraw, p.rconn = nil, nil
-	}
-	return nil, p.cfg.Primary, fmt.Errorf("service: partition %d unreachable: %w", p.index, primaryErr)
-}
-
-// scatterLocked fans one read request to every partition concurrently and
-// gathers the responses. resps[i] is nil when partition i (and all its
-// replicas) failed; the returned *cluster.PartialError names each failed
-// partition, or is nil when every partition answered. Caller holds c.mu;
-// each goroutine touches only its own partition's connections.
+// scatterLocked sends one request to every partition concurrently through
+// route ((*Client).read or (*Client).write) and gathers the responses.
+// resps[i] is nil when partition i failed; the returned error is a
+// *cluster.PartialError naming each failed partition, or nil when every
+// partition answered. Caller holds c.mu; each leg touches only its own
+// partition, and the calling goroutine runs partition 0's leg itself, so a
+// one-partition request spawns nothing.
 //
 // Under a sampled trace each partition gets its own "partition" span and a
 // shallow copy of the request carrying that span's propagation context —
 // the shared Message must not be stamped in place, or every partition would
 // claim the same parent. The partition server's echoed spans are imported
 // under the partition span, assembling the cross-daemon tree client-side.
-func (c *Client) scatterLocked(ctx context.Context, m *protocol.Message) ([]*protocol.Message, *cluster.PartialError) {
-	parts := c.clu.parts
-	resps := make([]*protocol.Message, len(parts))
-	addrs := make([]string, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *clusterPart) {
-			defer wg.Done()
-			pctx, sp := trace.Start(ctx, "partition")
-			req := m
-			if sp != nil {
-				sp.SetAttr("partition", strconv.Itoa(i))
-				cp := *m
-				cp.Trace = traceCtxToWire(sp.Context())
-				req = &cp
+func (c *Client) scatterLocked(ctx context.Context, m *protocol.Message,
+	route func(*Client, context.Context, *partition, *protocol.Message) (*protocol.Message, error)) ([]*protocol.Message, error) {
+	resps := make([]*protocol.Message, len(c.parts))
+	errs := make([]error, len(c.parts))
+	leg := func(i int) {
+		pctx, sp := trace.Start(ctx, "partition")
+		req := m
+		if sp != nil {
+			sp.SetAttr("partition", strconv.Itoa(i))
+			cp := *m
+			cp.Trace = traceCtxToWire(sp.Context())
+			req = &cp
+		}
+		resps[i], errs[i] = route(c, pctx, c.parts[i], req)
+		if sp != nil {
+			if errs[i] != nil {
+				sp.SetAttr("error", errs[i].Error())
+			} else {
+				trace.Import(pctx, spansFromWire(sp.TraceID(), resps[i].Spans))
 			}
-			resps[i], addrs[i], errs[i] = c.readPart(pctx, p, req)
-			if sp != nil {
-				sp.SetAttr("addr", addrs[i])
-				if errs[i] != nil {
-					sp.SetAttr("error", errs[i].Error())
-				}
-				if resps[i] != nil {
-					trace.Import(pctx, spansFromWire(sp.TraceID(), resps[i].Spans))
-				}
-				sp.End()
-			}
-		}(i, p)
+			sp.End()
+		}
 	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(c.parts); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			leg(i)
+		}(i)
+	}
+	leg(0)
 	wg.Wait()
 	var pe *cluster.PartialError
 	for i, err := range errs {
@@ -272,29 +147,37 @@ func (c *Client) scatterLocked(ctx context.Context, m *protocol.Message) ([]*pro
 			continue
 		}
 		if pe == nil {
-			pe = &cluster.PartialError{Partitions: len(parts)}
+			pe = &cluster.PartialError{Partitions: len(c.parts)}
 		}
 		pe.Failures = append(pe.Failures, cluster.PartitionFailure{
-			Partition: i, Addr: addrs[i], Err: err,
+			Partition: i, Addr: c.parts[i].primary.addr, Err: err,
 		})
 		resps[i] = nil
+	}
+	if pe == nil {
+		return resps, nil
 	}
 	return resps, pe
 }
 
-// clusterSearchLocked is the scatter-gather Search: every partition runs the
-// scan over its own corpus slice with its local top-τ cut, and the
-// coordinator interleaves the sorted lists and applies the global cut.
-// Because partitions hold disjoint document sets, the merged prefix is
+// searchLocked is the scatter-gather Search: every partition runs the scan
+// over its own corpus slice with its local top-τ cut, and the coordinator
+// interleaves the sorted lists and applies the global cut. Because
+// partitions hold disjoint document sets, the merged prefix is
 // byte-identical to a single-node scan of the whole corpus. When partitions
-// failed, the merged result covers the survivors and the *cluster.PartialError
-// names the rest — callers choose whether a partial answer is usable.
-func (c *Client) clusterSearchLocked(ctx context.Context, query []byte, topK int) ([]Match, error) {
+// failed, the merged result covers the survivors and the
+// *cluster.PartialError names the rest — callers choose whether a partial
+// answer is usable.
+func (c *Client) searchLocked(ctx context.Context, words []string, topK int) ([]Match, error) {
+	q, err := c.user.BuildQuery(words)
+	if err != nil {
+		return nil, err
+	}
 	sctx, sp := trace.Start(ctx, "scatter")
-	resps, pe := c.scatterLocked(sctx, &protocol.Message{SearchReq: &protocol.SearchRequest{
-		Query: query,
+	resps, perr := c.scatterLocked(sctx, &protocol.Message{SearchReq: &protocol.SearchRequest{
+		Query: marshalVector(q),
 		TopK:  topK,
-	}})
+	}}, (*Client).read)
 	sp.SetAttr("partitions", strconv.Itoa(len(resps)))
 	sp.End()
 	lists := make([][]protocol.MatchWire, 0, len(resps))
@@ -307,25 +190,17 @@ func (c *Client) clusterSearchLocked(ctx context.Context, query []byte, topK int
 		}
 		lists = append(lists, r.SearchResp.Matches)
 	}
-	merged := cluster.MergeWire(lists, topK)
-	out := make([]Match, len(merged))
-	for i, m := range merged {
-		out[i] = Match{DocID: m.DocID, Rank: m.Rank}
-	}
-	if pe != nil {
-		return out, pe
-	}
-	return out, nil
+	return toMatches(cluster.MergeWire(lists, topK)), perr
 }
 
-// clusterSearchBatchLocked is the scatter-gather SearchBatch: one batch
-// round trip per partition, then a per-query merge under the global τ-cut.
-func (c *Client) clusterSearchBatchLocked(ctx context.Context, wire [][]byte, topK int) ([][]Match, error) {
+// searchBatchLocked is the scatter-gather SearchBatch: one batch round trip
+// per partition, then a per-query merge under the global τ-cut.
+func (c *Client) searchBatchLocked(ctx context.Context, wire [][]byte, topK int) ([][]Match, error) {
 	sctx, sp := trace.Start(ctx, "scatter")
-	resps, pe := c.scatterLocked(sctx, &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
+	resps, perr := c.scatterLocked(sctx, &protocol.Message{SearchBatchReq: &protocol.SearchBatchRequest{
 		Queries: wire,
 		TopK:    topK,
-	}})
+	}}, (*Client).read)
 	sp.SetAttr("partitions", strconv.Itoa(len(resps)))
 	sp.End()
 	perQuery := make([][][]protocol.MatchWire, len(wire))
@@ -345,70 +220,27 @@ func (c *Client) clusterSearchBatchLocked(ctx context.Context, wire [][]byte, to
 	}
 	out := make([][]Match, len(wire))
 	for qi, lists := range perQuery {
-		merged := cluster.MergeWire(lists, topK)
-		out[qi] = make([]Match, len(merged))
-		for i, m := range merged {
-			out[qi][i] = Match{DocID: m.DocID, Rank: m.Rank}
-		}
+		out[qi] = toMatches(cluster.MergeWire(lists, topK))
 	}
-	if pe != nil {
-		return out, pe
-	}
-	return out, nil
+	return out, perr
 }
 
-// clusterOwnerLocked returns the partition owning a document ID.
-func (c *Client) clusterOwnerLocked(docID string) *clusterPart {
-	return c.clu.parts[c.clu.cfg.Map().Owner(docID)]
+func toMatches(ws []protocol.MatchWire) []Match {
+	out := make([]Match, len(ws))
+	for i, m := range ws {
+		out[i] = Match{DocID: m.DocID, Rank: m.Rank}
+	}
+	return out
 }
 
-// clusterMutateLocked routes a mutation to the partition primary owning the
-// document. Mutations never fall back to replicas — a follower would reject
-// them as read-only, and routing them elsewhere would fork the partition's
-// history. Caller holds c.mu.
-func (c *Client) clusterMutateLocked(docID string, m *protocol.Message) (*protocol.Message, error) {
-	p := c.clusterOwnerLocked(docID)
-	if p.conn == nil {
-		raw, err := net.DialTimeout("tcp", p.cfg.Primary, DialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("service: partition %d (%s): %w", p.index, p.cfg.Primary, err)
-		}
-		p.raw, p.conn = raw, protocol.NewConn(raw)
-	}
-	resp, err := p.conn.Roundtrip(m)
-	if err != nil {
-		var remote *protocol.RemoteError
-		if !errors.As(err, &remote) {
-			p.raw.Close()
-			p.raw, p.conn = nil, nil
-		}
-		return nil, err
-	}
-	return resp, nil
-}
-
-// ClusterStats fetches one StatsResponse per partition, in partition order,
-// falling back to replicas for unreachable primaries. When partitions are
-// missing entirely, the surviving entries are returned (nil at the failed
-// indices) alongside a *cluster.PartialError.
+// ClusterStats fetches one StatsResponse per partition primary, in partition
+// order, following promotions. When partitions are unreachable, the
+// surviving entries are returned (nil at the failed indices) alongside a
+// *cluster.PartialError.
 func (c *Client) ClusterStats() ([]*protocol.StatsResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.clu == nil {
-		resp, err := c.primaryRoundtripLocked(&protocol.Message{StatsReq: &protocol.StatsRequest{}})
-		if err != nil {
-			return nil, fmt.Errorf("service: stats: %w", err)
-		}
-		if resp.StatsResp == nil {
-			return nil, fmt.Errorf("service: stats response missing")
-		}
-		return []*protocol.StatsResponse{resp.StatsResp}, nil
-	}
-	return c.clusterStatsLocked()
-}
-
-func (c *Client) clusterStatsLocked() ([]*protocol.StatsResponse, error) {
-	resps, pe := c.scatterLocked(context.Background(), &protocol.Message{StatsReq: &protocol.StatsRequest{}})
+	resps, perr := c.scatterLocked(context.Background(), &protocol.Message{StatsReq: &protocol.StatsRequest{}}, (*Client).write)
 	out := make([]*protocol.StatsResponse, len(resps))
 	for i, r := range resps {
 		if r == nil {
@@ -419,16 +251,20 @@ func (c *Client) clusterStatsLocked() ([]*protocol.StatsResponse, error) {
 		}
 		out[i] = r.StatsResp
 	}
-	if pe != nil {
-		return out, pe
-	}
-	return out, nil
+	return out, perr
 }
 
 // aggregateStats folds per-partition stats into one cluster-wide view:
 // document, shard and cache counters sum; Partition is -1 to mark the
 // aggregate; Durable holds only if every partition is durable.
 func aggregateStats(parts []*protocol.StatsResponse) *protocol.StatsResponse {
+	if len(parts) == 1 && parts[0] != nil {
+		// Nothing to fold: one partition's view is the aggregate, its term,
+		// WAL and replication fields included.
+		agg := *parts[0]
+		agg.Partition, agg.Partitions = -1, 1
+		return &agg
+	}
 	agg := &protocol.StatsResponse{Partition: -1, Durable: true}
 	for _, st := range parts {
 		if st == nil {

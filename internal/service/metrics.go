@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"time"
 
 	"mkse/internal/protocol"
 	"mkse/internal/telemetry"
+	"mkse/internal/trace"
 )
 
 // Verb names classify every wire request for metrics labels, slow-query
@@ -111,6 +113,7 @@ type ServiceMetrics struct {
 	inflight *telemetry.Gauge
 	verbs    map[string]*verbMetrics
 	unknown  *verbMetrics
+	scan     *telemetry.Histogram // fed by the core server's scan observer
 }
 
 // begin/end bracket one in-flight request.
@@ -155,7 +158,7 @@ func (m *ServiceMetrics) observe(verb string, d time.Duration, isErr bool, trace
 
 // EnableMetrics registers the cloud service's full series inventory on reg
 // and wires the returned instruments into the request path (s.Metrics) and
-// the core server's scan timer (core.Server.ObserveScans). Store/cache/WAL
+// the core server's scan observer (see observeScans). Store/cache/WAL
 // totals another subsystem already tracks are exported as scrape-time
 // functions rather than double-counted; series with dynamic label sets
 // (per-follower lag, the current role) are scrape-time collectors. Call it
@@ -198,11 +201,8 @@ func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
 			}
 		})
 
-	// The arena-scan histogram hooks into core.Server via an atomic pointer:
-	// observing it is one bucket add, keeping the scan path allocation-free
-	// (verified by TestSearchScanPathAllocationFree).
-	s.Server.ObserveScans(reg.Histogram(SeriesScanDuration,
-		"Arena scan duration per search or batch search.", telemetry.RequestBuckets()))
+	m.scan = reg.Histogram(SeriesScanDuration,
+		"Arena scan duration per search or batch search.", telemetry.RequestBuckets())
 
 	reg.GaugeFunc(SeriesDocuments, "Documents in the store.",
 		func() float64 { return float64(s.Server.NumDocuments()) })
@@ -278,7 +278,29 @@ func (s *CloudService) EnableMetrics(reg *telemetry.Registry) *ServiceMetrics {
 		})
 
 	s.Metrics = m
+	s.observeScans()
 	return m
+}
+
+// observeScans installs the core server's one scan observer, feeding the
+// metrics scan histogram and the tracer's "scan" span from the same hook,
+// so EnableMetrics and EnableTracing compose in either order. A histogram
+// observation is one bucket add and an unsampled trace context is a no-op,
+// so the scan path stays allocation-free (TestSearchScanPathAllocationFree).
+func (s *CloudService) observeScans() {
+	var hist *telemetry.Histogram
+	if s.Metrics != nil {
+		hist = s.Metrics.scan
+	}
+	traced := s.Tracer != nil
+	s.Server.ObserveScanContexts(func(ctx context.Context, start time.Time, d time.Duration) {
+		if hist != nil {
+			hist.Observe(d)
+		}
+		if traced {
+			trace.AddCompleted(ctx, "scan", start, d)
+		}
+	})
 }
 
 // roleName names the daemon's current role for the mkse_role series and

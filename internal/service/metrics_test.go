@@ -1,16 +1,19 @@
 package service
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
 
+	"mkse/internal/bitindex"
 	"mkse/internal/core"
 	"mkse/internal/corpus"
 	"mkse/internal/durable"
 	"mkse/internal/protocol"
 	"mkse/internal/rank"
 	"mkse/internal/telemetry"
+	"mkse/internal/trace"
 )
 
 // metricsDeployment is a private owner+cloud pair with metrics enabled —
@@ -177,5 +180,44 @@ func TestStatsJSONKeys(t *testing.T) {
 	}
 	if got[SeriesQCacheHits] != uint64(5) {
 		t.Errorf("cache series wrong: %v", got)
+	}
+}
+
+// The core server carries one scan hook, so metrics and tracing must share
+// it: whichever is enabled second keeps the first one's observations.
+func TestScanObserverFeedsMetricsAndTracing(t *testing.T) {
+	p := core.DefaultParams().WithLevels(rank.Levels{1, 5, 10})
+	p.Bins = 64
+	for _, metricsFirst := range []bool{true, false} {
+		server, err := core.NewServer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := &CloudService{Server: server}
+		tracer := trace.New("cloud", 0, nil)
+		if metricsFirst {
+			svc.EnableMetrics(telemetry.New())
+			svc.EnableTracing(tracer)
+		} else {
+			svc.EnableTracing(tracer)
+			svc.EnableMetrics(telemetry.New())
+		}
+		ctx, root := tracer.StartRequest(context.Background(), "server:search", true)
+		if _, err := server.SearchTopContext(ctx, bitindex.NewOnes(p.R), 5); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		if got := svc.Metrics.scan.Count(); got != 1 {
+			t.Errorf("metrics first=%v: scan histogram observed %d scans, want 1", metricsFirst, got)
+		}
+		scans := 0
+		for _, sp := range root.Spans() {
+			if sp.Name == "scan" {
+				scans++
+			}
+		}
+		if scans != 1 {
+			t.Errorf("metrics first=%v: trace holds %d scan spans, want 1", metricsFirst, scans)
+		}
 	}
 }

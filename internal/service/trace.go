@@ -25,16 +25,13 @@ type ctxBackend interface {
 
 // EnableTracing attaches t to the service: incoming requests are adopted
 // or head-sampled into traces (see Serve), and the core server's scan
-// observer is pointed at the request context so every sampled search gets
-// a "scan" span. The installed observer checks the context first, so with
-// tracing enabled but a request unsampled the scan path performs one
-// context lookup and allocates nothing — the allocation-free guarantee
-// TestSearchScanPathAllocationFree pins survives tracing.
+// observer (observeScans) is pointed at the request context so every
+// sampled search gets a "scan" span. The observer checks the context first,
+// so with tracing enabled but a request unsampled the scan path performs
+// one context lookup and allocates nothing.
 func (s *CloudService) EnableTracing(t *trace.Tracer) {
 	s.Tracer = t
-	s.Server.ObserveScanContexts(func(ctx context.Context, start time.Time, d time.Duration) {
-		trace.AddCompleted(ctx, "scan", start, d)
-	})
+	s.observeScans()
 }
 
 // traceCtxFromWire validates and converts a wire trace context. A nil or
