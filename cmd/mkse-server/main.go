@@ -12,10 +12,9 @@
 //	            [-replica-of primary:7002]
 //	            [-partition 0/2]
 //	            [-drain 5s] [-idle-timeout 0]
-//	            [-metrics-addr :7012] [-slow-query 250ms] [-slow-query-ms 250]
+//	            [-metrics-addr :7012] [-slow-query 250ms]
 //	            [-trace-sample 100]
 //	            [-log-format text|json] [-log-level info]
-//	            [-snapshot cloud.db]
 //
 // -shards splits the document store into independently locked shards
 // (default: one per core) scanned concurrently by -workers goroutines per
@@ -41,7 +40,8 @@
 // (always: nothing; interval: the last ~100ms; never: whatever the OS had
 // not written back). The directory is created on first boot. A durably
 // backed server also serves its write-ahead log to followers (see below);
-// no extra flag is needed on the primary.
+// no extra flag is needed on the primary. Without -data the store lives in
+// memory only and starts empty on every boot.
 //
 // -replica-of turns the daemon into a read-only follower of another
 // durably backed mkse-server: it bootstraps from the primary's newest
@@ -76,10 +76,8 @@
 // gauges and counters, per-follower replication lag — /healthz answers a
 // role-aware readiness check (a follower with its stream down or lagging
 // past budget reports 503), and /debug/pprof exposes the runtime profiles.
-// -slow-query logs any search or batch slower than the threshold at WARN
-// (-slow-query-ms is the same knob in integer milliseconds, for launchers
-// that cannot emit duration syntax; when both are given -slow-query-ms
-// wins). Logs are structured (log/slog); -log-format json emits one object
+// -slow-query logs any search or batch slower than the threshold at WARN.
+// Logs are structured (log/slog); -log-format json emits one object
 // per line for shippers and -log-level debug adds a line per request.
 //
 // -trace-sample N enables distributed request tracing (internal/trace):
@@ -103,19 +101,14 @@
 // requests longer than the window (replication streams are exempt), so
 // leaked connections cannot pin a drain to its deadline.
 //
-// -snapshot is the legacy single-file mode, superseded by -data: the
-// database is restored from the file at startup (first boot starts empty)
-// and written back only on shutdown. Both modes persist on any clean
-// shutdown — SIGINT, SIGTERM, or the listener closing — and both restore
-// with the scheme parameters recorded on disk, which must match the owner
-// daemon's.
+// With -data the daemon checkpoints on any clean shutdown — SIGINT,
+// SIGTERM, or the listener closing — and restores with the scheme
+// parameters recorded on disk, which must match the owner daemon's.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net"
 	"os"
 	"os/signal"
@@ -127,7 +120,6 @@ import (
 	"mkse/internal/core"
 	"mkse/internal/durable"
 	"mkse/internal/service"
-	"mkse/internal/store"
 	"mkse/internal/telemetry"
 	"mkse/internal/trace"
 )
@@ -153,7 +145,6 @@ func main() {
 	var (
 		listen      = flag.String("listen", ":7002", "address to listen on")
 		levels      = flag.String("levels", "1", "comma-separated ranking thresholds (η levels)")
-		snapshot    = flag.String("snapshot", "", "legacy single-file persistence (superseded by -data)")
 		dataDir     = flag.String("data", "", "durable engine data directory (write-ahead log + checkpoints)")
 		ckptEvery   = flag.Int("checkpoint-every", 4096, "mutations between background checkpoints with -data (0 = only on shutdown)")
 		fsyncMode   = flag.String("fsync", "interval", "WAL sync policy with -data: always, interval or never")
@@ -166,7 +157,6 @@ func main() {
 		idle        = flag.Duration("idle-timeout", 0, "disconnect clients idle between requests this long (0 = never)")
 		metricsAddr = flag.String("metrics-addr", "", "telemetry sidecar address serving /metrics, /healthz and /debug/pprof (empty = disabled)")
 		slowQuery   = flag.Duration("slow-query", 0, "log searches slower than this at WARN and keep their traces in /traces/slow (0 = disabled)")
-		slowQueryMS = flag.Int("slow-query-ms", 0, "same as -slow-query, in integer milliseconds (overrides it when both are set; 0 = defer to -slow-query)")
 		traceSample = flag.Int("trace-sample", 0, "sample 1 in N requests into distributed traces served at /traces (1 = every request, 0 = tracing disabled)")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -192,18 +182,11 @@ func main() {
 	}
 	p.Levels = lv
 
-	if *dataDir != "" && *snapshot != "" {
-		fmt.Fprintln(os.Stderr, "mkse-server: -data and -snapshot are mutually exclusive")
-		os.Exit(2)
-	}
 	if *replicaOf != "" && *dataDir == "" {
 		fmt.Fprintln(os.Stderr, "mkse-server: -replica-of requires -data (the follower replays the primary's log through its own durable engine)")
 		os.Exit(2)
 	}
 
-	if *slowQueryMS > 0 {
-		*slowQuery = time.Duration(*slowQueryMS) * time.Millisecond
-	}
 	svc := &service.CloudService{Logger: logger, IdleTimeout: *idle, SlowQuery: *slowQuery}
 	if *partition != "" {
 		pi, pp, err := parsePartition(*partition)
@@ -267,35 +250,8 @@ func main() {
 		}
 
 	default:
-		mkServer := func(p core.Params) (*core.Server, error) {
-			return core.NewServerSharded(p, *shards, *workers)
-		}
-		var server *core.Server
-		if *snapshot != "" {
-			switch restored, err := store.LoadFileWith(*snapshot, mkServer); {
-			case err == nil:
-				server = restored
-				logger.Info("restored snapshot", "documents", server.NumDocuments(), "path", *snapshot)
-			case errors.Is(err, fs.ErrNotExist):
-				logger.Info("no snapshot yet, starting empty", "path", *snapshot)
-			default:
-				fatal("restoring %s: %v", *snapshot, err)
-			}
-		}
-		if server == nil {
-			if server, err = mkServer(p); err != nil {
-				fatal("%v", err)
-			}
-		}
-		svc.Server = server
-		if *snapshot != "" {
-			persist = func() {
-				if err := store.SaveFile(*snapshot, server); err != nil {
-					logger.Error("snapshot failed", "err", err)
-					os.Exit(1)
-				}
-				logger.Info("snapshotted on shutdown", "documents", server.NumDocuments(), "path", *snapshot)
-			}
+		if svc.Server, err = core.NewServerSharded(p, *shards, *workers); err != nil {
+			fatal("%v", err)
 		}
 	}
 

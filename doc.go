@@ -20,12 +20,13 @@
 //
 // # Server engine
 //
-// The server stores indices in sharded columnar arenas — one flat []uint64
-// per (shard, ranking level) holding every document's index words
-// back-to-back, plus a word-major transpose of level 0 (one contiguous
-// column per 64-bit word offset). Each query is preprocessed into the few
-// words where ¬q ≠ 0 (the only words Equation 3 can fail on), and the
-// level-0 screen sweeps just those columns with a blocked
+// The server stores indices in sharded columnar arenas, each level's words
+// exactly once: level 1 word-major (one contiguous column per 64-bit word
+// offset), and each higher ranking level as one flat []uint64 per shard
+// holding every document's index words back-to-back. Each query is
+// preprocessed into the few words where ¬q ≠ 0 (the only words Equation 3
+// can fail on), and the level-1 screen sweeps just those columns with a
+// blocked
 // bitmap-refinement kernel: a branch-free pass over the first active
 // column yields a survivor bitmask per 64 documents, and only surviving
 // blocks are tested against the remaining active columns, most selective

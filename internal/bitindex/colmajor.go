@@ -101,6 +101,25 @@ func blockSurvivors(col []uint64, base, rows int, m uint64) uint64 {
 	return survivorsTail(col[base:rows], m)
 }
 
+// FromColumns builds an n-bit vector from row's words in a word-major arena
+// (word w is cols[w][row]) — the inverse of appending a vector's words to
+// the columns. Tail bits beyond n are cleared. It panics if n <= 0 or the
+// arena does not have WordsFor(n) columns.
+func FromColumns(n int, cols [][]uint64, row int) *Vector {
+	if n <= 0 {
+		panic(fmt.Sprintf("bitindex: invalid vector length %d", n))
+	}
+	if len(cols) != WordsFor(n) {
+		panic(fmt.Sprintf("bitindex: arena has %d columns, %d bits need %d", len(cols), n, WordsFor(n)))
+	}
+	v := &Vector{words: make([]uint64, len(cols)), n: n}
+	for w, col := range cols {
+		v.words[w] = col[row]
+	}
+	v.clampTail()
+	return v
+}
+
 // AppendMatchingRowsColumns scans a word-major level-0 arena — cols[w][row]
 // holds word w of row's index — with one query and appends the indices of
 // matching rows to dst, returning the extended slice. Output is identical,

@@ -154,12 +154,20 @@ func TestDeleteEverything(t *testing.T) {
 		t.Fatalf("NumDocuments = %d after deleting everything", n)
 	}
 	for _, sh := range srv.shards {
-		for l, arena := range sh.levels {
+		for w, col := range sh.cols {
+			if len(col) != 0 {
+				t.Fatalf("level-1 column %d still holds %d words", w, len(col))
+			}
+			if cap(col) >= 64 {
+				t.Fatalf("level-1 column %d capacity %d not released", w, cap(col))
+			}
+		}
+		for l, arena := range sh.upper {
 			if len(arena) != 0 {
-				t.Fatalf("level-%d arena still holds %d words", l+1, len(arena))
+				t.Fatalf("level-%d arena still holds %d words", l+2, len(arena))
 			}
 			if cap(arena) >= 64*sh.stride {
-				t.Fatalf("level-%d arena capacity %d not released", l+1, cap(arena))
+				t.Fatalf("level-%d arena capacity %d not released", l+2, cap(arena))
 			}
 		}
 	}

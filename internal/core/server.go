@@ -50,30 +50,33 @@ var ErrNotFound = errors.New("no such document")
 //
 // # Columnar index arenas and the zero-word-skipping kernel
 //
-// Within a shard, indices are not stored as per-document vectors but as one
-// contiguous []uint64 arena per ranking level: document i's r-bit level-η
-// index occupies words [i·stride, (i+1)·stride) of the level-η arena
-// (struct-of-arrays). The scan is therefore a linear, prefetch-friendly
-// sweep over flat memory with zero pointer chasing — the boxed
-// *SearchIndex → *Vector → []uint64 chain of earlier revisions cost three
-// dependent cache misses per document. Uploading copies the index words into
-// the arenas (the caller's SearchIndex is not retained); re-uploading an
-// existing ID overwrites its rows in place, keeping its original
-// upload-order position. Each query is preprocessed once into a
-// bitindex.Sparse — the offsets of the few words where ¬q ≠ 0, the only
-// words Equation 3 can fail on. The level-1 screen runs over a word-major
-// copy of the level-1 arena (one contiguous column per word offset) with the
-// blocked bitmap-refinement kernel (bitindex.AppendMatchingRowsColumns):
-// the first active column is swept sequentially into per-64-row survivor
-// bitmasks, and only surviving blocks are refined against the remaining
-// active columns, most selective first. The Algorithm-1 level walk then
-// tests survivors row-major per level, touching only the active offsets.
-// Multi-shard scans are dispatched to persistent shard-affine workers —
-// each worker goroutine owns a fixed subset of shards for the server's
-// lifetime, so a shard's arenas are always rescanned by the same worker.
-// Scan scratch (row buffers, block bitmaps, sparse forms, heaps, merge
-// buffers) is pooled and reused, so steady-state searches allocate only
-// their results.
+// Within a shard, indices are not stored as per-document vectors but as flat
+// []uint64 arenas, one per ranking level, each holding exactly one copy of
+// every document's index at that level. Level 1 — the index every document
+// is screened against (Equation 3) — is stored word-major: one contiguous
+// column per word offset, word w of row i's index at cols[w][i]. Levels
+// 2…η, which only level-1 survivors reach, are stored row-major: document
+// i's level-η index occupies words [i·stride, (i+1)·stride) of its arena.
+// The scan is therefore a linear, prefetch-friendly sweep over flat memory
+// with zero pointer chasing — the boxed *SearchIndex → *Vector → []uint64
+// chain of earlier revisions cost three dependent cache misses per document.
+// Uploading copies the index words into the arenas (the caller's
+// SearchIndex is not retained); re-uploading an existing ID overwrites its
+// row in place, keeping its original upload-order position. Each query is
+// preprocessed once into a bitindex.Sparse — the offsets of the few words
+// where ¬q ≠ 0, the only words Equation 3 can fail on. The level-1 screen
+// runs the blocked bitmap-refinement kernel over the columns
+// (bitindex.AppendMatchingRowsColumns): the first active column is swept
+// sequentially into per-64-row survivor bitmasks, and only surviving blocks
+// are refined against the remaining active columns, most selective first.
+// The Algorithm-1 level walk then tests survivors row-major per level,
+// touching only the active offsets. A match's Meta vector and Export gather
+// a row's level-1 words back out of the columns. Multi-shard scans are
+// dispatched to persistent shard-affine workers — each worker goroutine owns
+// a fixed subset of shards for the server's lifetime, so a shard's arenas
+// are always rescanned by the same worker. Scan scratch (row buffers, block
+// bitmaps, sparse forms, heaps, merge buffers) is pooled and reused, so
+// steady-state searches allocate only their results.
 //
 // Uploaded documents are stored by reference and must not be mutated by the
 // caller afterwards; search indices are copied into the arenas at Upload.
@@ -122,22 +125,19 @@ type ScanObserverFunc func(ctx context.Context, start time.Time, d time.Duration
 
 // shard is one independently locked slice of the document store, laid out as
 // parallel columns: row i of every slice and arena describes one document.
-//
-// Level-0 indices are stored twice: row-major in levels[0] (the layout the
-// metadata copies, Export and the level walk read rows from) and word-major
-// in cols (cols[w][row] = word w of row's level-0 index — the layout the
-// blocked bitmap-refinement kernel sweeps). Upload and Delete maintain both
-// in lock step; the duplication costs one extra level's worth of memory and
-// buys the scan a sequential, line-dense walk of exactly the query's active
-// words.
+// Each level's index words are stored once: level 1 word-major in cols (the
+// layout the blocked bitmap-refinement kernel sweeps, a sequential,
+// line-dense walk of exactly the query's active words), levels 2…η
+// row-major in upper (the layout the level walk reads one survivor's row
+// from).
 type shard struct {
 	mu     sync.RWMutex
 	byID   map[string]int // docID → row
 	ids    []string
 	seqs   []uint64
 	docs   []*EncryptedDocument
-	levels [][]uint64 // levels[l]: all rows' level-(l+1) index words, back-to-back
-	cols   [][]uint64 // word-major level 0: cols[w][row], one column per word offset
+	cols   [][]uint64 // level 1, word-major: cols[w][row] = word w of row's index
+	upper  [][]uint64 // upper[l]: all rows' level-(l+2) index words, back-to-back
 	stride int
 }
 
@@ -167,8 +167,8 @@ func NewServerSharded(p Params, shards, workers int) (*Server, error) {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			byID:   make(map[string]int),
-			levels: make([][]uint64, p.Eta()),
 			cols:   make([][]uint64, s.stride),
+			upper:  make([][]uint64, p.Eta()-1),
 			stride: s.stride,
 		}
 	}
@@ -239,13 +239,13 @@ func (s *Server) Upload(si *SearchIndex, doc *EncryptedDocument) error {
 	sh := s.shardFor(si.DocID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	lvl0 := si.Levels[0].Words()
+	lvl1 := si.Levels[0].Words()
 	if row, ok := sh.byID[si.DocID]; ok {
-		for l, v := range si.Levels {
-			v.CopyWordsTo(sh.levels[l][row*sh.stride : (row+1)*sh.stride])
+		for w, col := range sh.cols {
+			col[row] = lvl1[w]
 		}
-		for w := range sh.cols {
-			sh.cols[w][row] = lvl0[w]
+		for l, arena := range sh.upper {
+			si.Levels[l+1].CopyWordsTo(arena[row*sh.stride : (row+1)*sh.stride])
 		}
 		sh.docs[row] = doc
 		s.epoch.Add(1) // after apply, before ack (see Epoch)
@@ -255,11 +255,11 @@ func (s *Server) Upload(si *SearchIndex, doc *EncryptedDocument) error {
 	sh.ids = append(sh.ids, si.DocID)
 	sh.seqs = append(sh.seqs, s.seq.Add(1))
 	sh.docs = append(sh.docs, doc)
-	for l, v := range si.Levels {
-		sh.levels[l] = v.AppendTo(sh.levels[l])
-	}
 	for w := range sh.cols {
-		sh.cols[w] = append(sh.cols[w], lvl0[w])
+		sh.cols[w] = append(sh.cols[w], lvl1[w])
+	}
+	for l := range sh.upper {
+		sh.upper[l] = si.Levels[l+1].AppendTo(sh.upper[l])
 	}
 	s.epoch.Add(1) // after apply, before ack (see Epoch)
 	return nil
@@ -288,22 +288,22 @@ func (s *Server) Delete(docID string) error {
 		sh.seqs[row] = sh.seqs[last]
 		sh.docs[row] = sh.docs[last]
 		sh.byID[sh.ids[row]] = row
-		for _, arena := range sh.levels {
-			copy(arena[row*sh.stride:(row+1)*sh.stride], arena[last*sh.stride:(last+1)*sh.stride])
-		}
 		for _, col := range sh.cols {
 			col[row] = col[last]
+		}
+		for _, arena := range sh.upper {
+			copy(arena[row*sh.stride:(row+1)*sh.stride], arena[last*sh.stride:(last+1)*sh.stride])
 		}
 	}
 	sh.ids = shrink(sh.ids[:last])
 	sh.seqs = shrink(sh.seqs[:last])
 	sh.docs[last] = nil // release the payload reference
 	sh.docs = shrink(sh.docs[:last])
-	for l := range sh.levels {
-		sh.levels[l] = shrink(sh.levels[l][:last*sh.stride])
-	}
 	for w := range sh.cols {
 		sh.cols[w] = shrink(sh.cols[w][:last])
+	}
+	for l := range sh.upper {
+		sh.upper[l] = shrink(sh.upper[l][:last*sh.stride])
 	}
 	delete(sh.byID, docID)
 	s.epoch.Add(1) // after apply, before ack (see Epoch)
@@ -486,9 +486,9 @@ func (sh *shard) walkLevelsAt(q *bitindex.Sparse, row int, heap *topTau) int64 {
 	base := row * sh.stride
 	var cmps int64
 	rank := 1
-	for rank < len(sh.levels) {
+	for _, arena := range sh.upper {
 		cmps++
-		if !q.MatchWords(sh.levels[rank][base : base+sh.stride]) {
+		if !q.MatchWords(arena[base : base+sh.stride]) {
 			break
 		}
 		rank++
@@ -497,11 +497,12 @@ func (sh *shard) walkLevelsAt(q *bitindex.Sparse, row int, heap *topTau) int64 {
 	return cmps
 }
 
-// metaVector copies row's level-1 index out of the arena as a fresh vector.
+// metaVector gathers row's level-1 index out of the columns as a fresh
+// vector.
 func (sh *shard) metaVector(row, nbits int) *bitindex.Vector {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return bitindex.FromWords(nbits, sh.levels[0][row*sh.stride:(row+1)*sh.stride])
+	return bitindex.FromColumns(nbits, sh.cols, row)
 }
 
 // searchSharded fans qs out across shards with the worker pool and merges
@@ -750,9 +751,10 @@ type exported struct {
 // materializeLocked rebuilds row's SearchIndex from the arenas. The caller
 // must hold at least a read lock on the shard.
 func (sh *shard) materializeLocked(row, nbits int) *SearchIndex {
-	si := &SearchIndex{DocID: sh.ids[row], Levels: make([]*bitindex.Vector, len(sh.levels))}
-	for l, arena := range sh.levels {
-		si.Levels[l] = bitindex.FromWords(nbits, arena[row*sh.stride:(row+1)*sh.stride])
+	si := &SearchIndex{DocID: sh.ids[row], Levels: make([]*bitindex.Vector, 1+len(sh.upper))}
+	si.Levels[0] = bitindex.FromColumns(nbits, sh.cols, row)
+	for l, arena := range sh.upper {
+		si.Levels[l+1] = bitindex.FromWords(nbits, arena[row*sh.stride:(row+1)*sh.stride])
 	}
 	return si
 }

@@ -420,10 +420,10 @@ func TestEpochRotationOverTCP(t *testing.T) {
 func TestCloudRestartFromSnapshot(t *testing.T) {
 	d := sharedDeployment(t)
 	var buf bytes.Buffer
-	if err := store.Save(&buf, d.server); err != nil {
+	if err := store.SaveCheckpoint(&buf, d.server, store.CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := store.Load(&buf)
+	restored, _, err := store.LoadCheckpoint(&buf, core.NewServer)
 	if err != nil {
 		t.Fatal(err)
 	}

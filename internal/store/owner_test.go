@@ -113,7 +113,7 @@ func TestOwnerSaveLoadFile(t *testing.T) {
 func TestLoadOwnerRejectsServerSnapshot(t *testing.T) {
 	_, srv, _ := populatedServer(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, srv); err != nil {
+	if err := SaveCheckpoint(&buf, srv, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadOwner(&buf); err == nil {

@@ -5,15 +5,16 @@
 // snapshot lets its holder decrypt or search beyond what the live server
 // could.
 //
-// Three on-disk versions exist. V1 ("MKSESTO1") is the bare snapshot
-// written by Save. V2 ("MKSESTO2") is the checkpoint format of the durable
+// Three on-disk versions exist; SaveCheckpoint writes the newest. V1
+// ("MKSESTO1") is the bare snapshot the retired single-file persistence
+// mode wrote. V2 ("MKSESTO2") is the first checkpoint format of the durable
 // storage engine (internal/durable): the same body prefixed with the
 // write-ahead-log sequence number the checkpoint covers, so recovery knows
 // where replay starts. V3 ("MKSESTO3") additionally stamps the engine's
 // promotion term and the log position where that term began — the fencing
-// metadata automatic failover needs to survive log pruning. Load, LoadWith
-// and LoadCheckpoint accept all three, which keeps older snapshot files
-// loadable (their term reads as zero).
+// metadata automatic failover needs to survive log pruning. LoadCheckpoint
+// accepts all three, which keeps older files loadable (their LSN and term
+// read as zero).
 package store
 
 import (
@@ -68,17 +69,8 @@ type Exporter interface {
 	Export(func(*core.SearchIndex, *core.EncryptedDocument) error) error
 }
 
-// Save snapshots a server's full state to w in the V1 format.
-func Save(w io.Writer, srv Exporter) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV1[:]); err != nil {
-		return err
-	}
-	return saveBody(bw, srv)
-}
-
 // SaveCheckpoint snapshots a server's full state to w in the V3 checkpoint
-// format: the body of Save prefixed with the LSN (count of write-ahead-log
+// format: the snapshot body prefixed with the LSN (count of write-ahead-log
 // records) the state covers plus the promotion term and its start position.
 // Recovery replays the log from that record on and resumes at that term.
 func SaveCheckpoint(w io.Writer, srv Exporter, meta CheckpointMeta) error {
@@ -132,24 +124,11 @@ func saveBody(bw *bufio.Writer, srv Exporter) error {
 	return bw.Flush()
 }
 
-// Load reconstructs a server from a snapshot with the default shard layout.
-func Load(r io.Reader) (*core.Server, error) {
-	return LoadWith(r, core.NewServer)
-}
-
-// LoadWith reconstructs a server from a snapshot, building the empty server
-// through mk — the hook daemons use to restore into a non-default shard
-// layout. The snapshot format is layout-independent. All snapshot and
-// checkpoint formats are accepted; the checkpoint's metadata is discarded
-// (use LoadCheckpoint to recover it).
-func LoadWith(r io.Reader, mk func(core.Params) (*core.Server, error)) (*core.Server, error) {
-	srv, _, err := LoadCheckpoint(r, mk)
-	return srv, err
-}
-
 // LoadCheckpoint reconstructs a server from a snapshot in any format and
 // returns the checkpoint metadata it covers (all-zero for a V1 snapshot,
-// which predates the log; zero term for V2, which predates failover).
+// which predates the log; zero term for V2, which predates failover). The
+// empty server is built through mk — the hook daemons use to restore into
+// their own shard layout; the format is layout-independent.
 func LoadCheckpoint(r io.Reader, mk func(core.Params) (*core.Server, error)) (*core.Server, CheckpointMeta, error) {
 	br := bufio.NewReader(r)
 	var got [8]byte
@@ -242,55 +221,27 @@ func loadBody(br *bufio.Reader, mk func(core.Params) (*core.Server, error)) (*co
 	return srv, nil
 }
 
-// SaveFile writes a V1 snapshot to path atomically (write temp + rename).
-func SaveFile(path string, srv Exporter) error {
-	return saveFileAs(path, func(f *os.File) error { return Save(f, srv) })
-}
-
 // SaveCheckpointFile writes a V3 checkpoint to path atomically, fsyncing the
 // file before the rename so a crash cannot leave a live checkpoint name
 // pointing at partial data.
 func SaveCheckpointFile(path string, srv Exporter, meta CheckpointMeta) error {
-	return saveFileAs(path, func(f *os.File) error {
-		if err := SaveCheckpoint(f, srv, meta); err != nil {
-			return err
-		}
-		return f.Sync()
-	})
-}
-
-func saveFileAs(path string, write func(*os.File) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = SaveCheckpoint(f, srv, meta)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*core.Server, error) {
-	return LoadFileWith(path, core.NewServer)
-}
-
-// LoadFileWith reads a snapshot from path, building the empty server
-// through mk (see LoadWith).
-func LoadFileWith(path string, mk func(core.Params) (*core.Server, error)) (*core.Server, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadWith(f, mk)
 }
 
 // LoadCheckpointBytes reads a snapshot in any format from an in-memory

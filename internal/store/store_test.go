@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -47,13 +49,30 @@ func populatedServer(t *testing.T) (*core.Owner, *core.Server, []*corpus.Documen
 	return owner, srv, docs
 }
 
+// saveV1 writes srv as a V1 ("MKSESTO1") snapshot: the V1 magic followed by
+// the body every format shares. Nothing writes V1 any more, but files
+// written before the checkpoint formats existed must keep loading.
+func saveV1(w io.Writer, srv Exporter) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(magicV1[:]); err != nil {
+		return err
+	}
+	return saveBody(bw, srv)
+}
+
+// load restores a snapshot in any format into the default shard layout.
+func load(r io.Reader) (*core.Server, error) {
+	srv, _, err := LoadCheckpoint(r, core.NewServer)
+	return srv, err
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	owner, srv, docs := populatedServer(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, srv); err != nil {
+	if err := SaveCheckpoint(&buf, srv, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf)
+	restored, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +137,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveFileLoadFile(t *testing.T) {
 	_, srv, _ := populatedServer(t)
 	path := filepath.Join(t.TempDir(), "cloud.snapshot")
-	if err := SaveFile(path, srv); err != nil {
+	if err := SaveCheckpointFile(path, srv, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadFile(path)
+	restored, _, err := LoadCheckpointFile(path, core.NewServer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +150,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 }
 
 func TestLoadRejectsBadMagic(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("NOTMKSE0rest..."))); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := load(bytes.NewReader([]byte("NOTMKSE0rest..."))); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("bad magic gave %v", err)
 	}
 }
@@ -139,13 +158,14 @@ func TestLoadRejectsBadMagic(t *testing.T) {
 func TestLoadRejectsTruncation(t *testing.T) {
 	_, srv, _ := populatedServer(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, srv); err != nil {
+	if err := SaveCheckpoint(&buf, srv, CheckpointMeta{LSN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Truncate at several depths: header, mid-params, mid-document.
+	// Truncate at several depths: magic, checkpoint header, mid-params,
+	// mid-document.
 	for _, n := range []int{4, 8, 20, 60, len(full) / 2, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:n])); err == nil {
+		if _, err := load(bytes.NewReader(full[:n])); err == nil {
 			t.Errorf("truncation at %d bytes accepted", n)
 		}
 	}
@@ -154,15 +174,21 @@ func TestLoadRejectsTruncation(t *testing.T) {
 func TestLoadRejectsCorruptLength(t *testing.T) {
 	_, srv, _ := populatedServer(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, srv); err != nil {
+	if err := SaveCheckpoint(&buf, srv, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Overwrite the document-count field with an absurd value.
-	for i := 0; i < 8; i++ {
-		data[8+7*8+3*8+i] = 0x7f // somewhere in the header region
+	// Overwrite the document-count field — after the magic, the three
+	// checkpoint header words, seven parameters and three thresholds — with
+	// an absurd value.
+	const countAt = 8 + 3*8 + 7*8 + 3*8
+	if n := binary.BigEndian.Uint64(data[countAt:]); n != uint64(srv.NumDocuments()) {
+		t.Fatalf("offset %d holds %d, not the document count %d", countAt, n, srv.NumDocuments())
 	}
-	if _, err := Load(bytes.NewReader(data)); err == nil {
+	for i := 0; i < 8; i++ {
+		data[countAt+i] = 0x7f
+	}
+	if _, err := load(bytes.NewReader(data)); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 }
@@ -174,10 +200,10 @@ func TestLoadEmptyServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, srv); err != nil {
+	if err := SaveCheckpoint(&buf, srv, CheckpointMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf)
+	restored, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,33 +212,30 @@ func TestLoadEmptyServer(t *testing.T) {
 	}
 }
 
-// A PR-2-era (V1, "MKSESTO1") snapshot must keep loading through LoadWith /
-// LoadFileWith after the checkpoint format's introduction, reporting LSN 0
-// through LoadCheckpoint. Guards the upgrade path of daemons that ran with
-// the bare -snapshot flag before the durable engine existed.
+// A V1 ("MKSESTO1") snapshot, written by the single-file persistence mode
+// before the durable engine existed, must keep loading through
+// LoadCheckpointFile after the checkpoint formats' introduction, reporting
+// all-zero metadata. Guards the upgrade path of daemons that ran in that
+// mode.
 func TestV1SnapshotBackCompat(t *testing.T) {
 	_, srv, _ := populatedServer(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, srv); err != nil {
+	if err := saveV1(&buf, srv); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(buf.Bytes()[:8]); got != "MKSESTO1" {
-		t.Fatalf("Save wrote magic %q, want the V1 magic (PR-2 snapshots must stay readable)", got)
+		t.Fatalf("saveV1 wrote magic %q, want the V1 magic", got)
 	}
-	path := filepath.Join(t.TempDir(), "pr2-era.db")
+	path := filepath.Join(t.TempDir(), "v1.db")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadFileWith(path, core.NewServer)
+	restored, meta, err := LoadCheckpointFile(path, core.NewServer)
 	if err != nil {
-		t.Fatalf("LoadFileWith on V1 snapshot: %v", err)
+		t.Fatalf("LoadCheckpointFile on V1 snapshot: %v", err)
 	}
 	if restored.NumDocuments() != srv.NumDocuments() {
 		t.Fatalf("restored %d docs, want %d", restored.NumDocuments(), srv.NumDocuments())
-	}
-	_, meta, err := LoadCheckpointFile(path, core.NewServer)
-	if err != nil {
-		t.Fatalf("LoadCheckpointFile on V1 snapshot: %v", err)
 	}
 	if meta != (CheckpointMeta{}) {
 		t.Fatalf("V1 snapshot reported meta %+v, want all-zero", meta)
@@ -232,7 +255,7 @@ func TestV2CheckpointBackCompat(t *testing.T) {
 	binary.BigEndian.PutUint64(hdr[:], lsn)
 	buf.Write(hdr[:])
 	var body bytes.Buffer
-	if err := Save(&body, srv); err != nil {
+	if err := saveV1(&body, srv); err != nil {
 		t.Fatal(err)
 	}
 	buf.Write(body.Bytes()[8:]) // body without the V1 magic
@@ -269,11 +292,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if restored.NumDocuments() != srv.NumDocuments() {
 		t.Fatalf("restored %d docs, want %d", restored.NumDocuments(), srv.NumDocuments())
-	}
-	// The old entry point accepts checkpoints too (the daemon can point
-	// -snapshot at a checkpoint file).
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Load on V3 checkpoint: %v", err)
 	}
 	// A truncated metadata header is a bad snapshot, not a crash.
 	if _, _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()[:20]), core.NewServer); !errors.Is(err, ErrBadSnapshot) {

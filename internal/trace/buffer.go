@@ -100,7 +100,7 @@ func NewBuffer(capacity int) *Buffer {
 
 // SetSlowThreshold sets the root-span duration above which a trace is also
 // retained in the slow ring. Zero disables slow retention. Matches the
-// daemon's -slow-query-ms so logs and /traces/slow agree on "slow".
+// daemon's -slow-query so logs and /traces/slow agree on "slow".
 func (b *Buffer) SetSlowThreshold(d time.Duration) {
 	b.slowNS.Store(int64(d))
 }

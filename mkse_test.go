@@ -3,10 +3,13 @@ package mkse
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
 
+	"mkse/internal/analysis"
+	"mkse/internal/core"
 	"mkse/internal/rank"
 )
 
@@ -164,41 +167,97 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 	}
 }
 
+// AddDocumentWithKeywords must index each keyword at exactly the levels its
+// term frequency reaches. Every probe document holds "hotword" at tf 12
+// (levels 1–3) and a cold keyword of its own at tf 1 (level 1 only), so:
+//
+//   - a hotword query ranks every probe 3, every time;
+//   - a probe's cold-keyword query always returns it: Equation 3 has no
+//     false rejects;
+//   - that query ranks the probe above 1 only on a false accept, when every
+//     zero of the cold keyword's trapdoor falls on a zero of the probe's
+//     level-2 index (hotword plus the U random keywords). The query's decoys
+//     are a subset of those U, so they cannot cause or prevent it.
+//     analysis.Model.FalseAcceptProbability(1, U, 1) is its per-probe
+//     probability p, and the count over all probes must stay within the
+//     Bernstein upper tail of Binomial(probes, p) at δ = 1e-6.
+//
+// The owner's keys and every query's decoy subset are seeded, so each run
+// sees the same trapdoors. A single probe under random owner keys failed
+// whenever those keys happened to false-accept its cold keyword.
 func TestAddDocumentWithKeywordsRanked(t *testing.T) {
-	s := sharedSystem(t)
-	tf := map[string]int{"hotword": 12, "coldword": 1}
-	if err := s.AddDocumentWithKeywords("ranked-doc", tf, []byte("body")); err != nil {
+	p := DefaultParams()
+	p.Levels = rank.Levels{1, 5, 10}
+	p.Bins = 64
+	owner, err := core.NewOwnerDeterministic(p, 7, 11)
+	if err != nil {
 		t.Fatal(err)
+	}
+	cloud, err := NewCloudServer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &System{Owner: owner, Cloud: cloud}
+	const probes = 200
+	probeID := func(i int) string { return fmt.Sprintf("ranked-doc-%03d", i) }
+	coldWord := func(i int) string { return fmt.Sprintf("coldword%03d", i) }
+	for i := 0; i < probes; i++ {
+		tf := map[string]int{"hotword": 12, coldWord(i): 1}
+		if err := s.AddDocumentWithKeywords(probeID(i), tf, []byte("body")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	u, err := s.NewUser("rank-checker")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := s.Search(u, []string{"hotword"}, 0)
+
+	for seed := int64(0); seed < 8; seed++ {
+		u.SeedQueryRNG(seed)
+		hot, err := s.Search(u, []string{"hotword"}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hot) != probes {
+			t.Fatalf("hotword query %d returned %d documents, want all %d probes", seed, len(hot), probes)
+		}
+		for _, m := range hot {
+			if m.Rank != 3 {
+				t.Fatalf("hotword query %d ranks %s at %d, want 3 (tf 12 >= threshold 10)", seed, m.DocID, m.Rank)
+			}
+		}
+	}
+
+	falseAccepts := 0
+	for i := 0; i < probes; i++ {
+		u.SeedQueryRNG(int64(1000 + i))
+		cold, err := s.Search(u, []string{coldWord(i)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := 0
+		for _, m := range cold {
+			if m.DocID == probeID(i) {
+				rank = m.Rank
+			}
+		}
+		if rank == 0 {
+			t.Fatalf("%s query missed %s, which holds it (false reject)", coldWord(i), probeID(i))
+		}
+		if rank > 1 {
+			falseAccepts++
+		}
+	}
+	model, err := analysis.NewModel(p.R, p.D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hotRank int
-	for _, m := range hot {
-		if m.DocID == "ranked-doc" {
-			hotRank = m.Rank
-		}
-	}
-	if hotRank != 3 {
-		t.Errorf("hotword rank = %d, want 3 (tf 12 >= threshold 10)", hotRank)
-	}
-	cold, err := s.Search(u, []string{"coldword"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var coldRank int
-	for _, m := range cold {
-		if m.DocID == "ranked-doc" {
-			coldRank = m.Rank
-		}
-	}
-	if coldRank != 1 {
-		t.Errorf("coldword rank = %d, want 1 (tf 1)", coldRank)
+	mean := probes * model.FalseAcceptProbability(1, p.U, 1)
+	l := math.Log(1e6) // ln(1/δ)
+	bound := mean + l/3 + math.Sqrt(l*l/9+2*l*mean)
+	if float64(falseAccepts) > bound {
+		t.Errorf("%d of %d cold-keyword queries ranked their probe above 1; model mean %.1f, bound %.1f",
+			falseAccepts, probes, mean, bound)
 	}
 }
 
